@@ -6,8 +6,7 @@
 //! * VC buffer capacity → saturation-time sensitivity of the congestion
 //!   model,
 //! * UGAL threshold → the adaptive/minimal crossover,
-//! * `maxBins` → aggregation cost vs view size,
-//! * sequential vs conservative-parallel scheduler.
+//! * `maxBins` → aggregation cost vs view size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrviz_core::{bin_items, group_rows, DataSet, EntityKind, Field};
@@ -36,7 +35,7 @@ fn tornado_sim(mut spec: NetworkSpec) -> Simulation {
 }
 
 fn run_tornado(spec: NetworkSpec) -> RunData {
-    tornado_sim(spec).run()
+    tornado_sim(spec).try_run().expect("simulation completes")
 }
 
 fn bench_buffer_sweep(c: &mut Criterion) {
@@ -105,7 +104,7 @@ fn bench_maxbins(c: &mut Criterion) {
             job: 0,
         });
     }
-    let ds = DataSet::builder(&sim.run()).build();
+    let ds = DataSet::builder(&sim.try_run().expect("simulation completes")).build();
     let items = group_rows(&ds, EntityKind::GlobalLink, &[Field::RouterId, Field::RouterPort]);
     let mut g = c.benchmark_group("ablation_maxbins");
     for &bins in &[4usize, 16, 64, 256] {
@@ -118,25 +117,5 @@ fn bench_maxbins(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_scheduler(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_scheduler");
-    g.sample_size(10);
-    g.bench_function("sequential", |b| {
-        b.iter(|| {
-            tornado_sim(NetworkSpec::new(DragonflyConfig::canonical(3))).run().events_processed
-        })
-    });
-    for &parts in &[2usize, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("parallel", parts), &parts, |b, &parts| {
-            b.iter(|| {
-                tornado_sim(NetworkSpec::new(DragonflyConfig::canonical(3)))
-                    .run_parallel(parts)
-                    .events_processed
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_buffer_sweep, bench_ugal_threshold, bench_maxbins, bench_scheduler);
+criterion_group!(benches, bench_buffer_sweep, bench_ugal_threshold, bench_maxbins);
 criterion_main!(benches);

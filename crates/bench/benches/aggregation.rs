@@ -26,7 +26,7 @@ fn sample_run() -> RunData {
             job: 0,
         });
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn spec() -> ProjectionSpec {

@@ -46,12 +46,24 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs_overhead");
     g.sample_size(10);
     g.throughput(Throughput::Elements(342 * 8));
-    g.bench_function("sim_no_collector", |b| b.iter(|| uniform_sim(None).run().events_processed));
+    g.bench_function("sim_no_collector", |b| {
+        b.iter(|| uniform_sim(None).try_run().expect("simulation completes").events_processed)
+    });
     g.bench_function("sim_disabled_collector", |b| {
-        b.iter(|| uniform_sim(Some(Collector::disabled())).run().events_processed)
+        b.iter(|| {
+            uniform_sim(Some(Collector::disabled()))
+                .try_run()
+                .expect("simulation completes")
+                .events_processed
+        })
     });
     g.bench_function("sim_enabled_collector", |b| {
-        b.iter(|| uniform_sim(Some(Collector::enabled())).run().events_processed)
+        b.iter(|| {
+            uniform_sim(Some(Collector::enabled()))
+                .try_run()
+                .expect("simulation completes")
+                .events_processed
+        })
     });
     g.finish();
 }

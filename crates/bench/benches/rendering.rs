@@ -24,7 +24,7 @@ fn dataset() -> DataSet {
             job: 0,
         });
     }
-    DataSet::builder(&sim.run()).build()
+    DataSet::builder(&sim.try_run().expect("simulation completes")).build()
 }
 
 fn bench_render(c: &mut Criterion) {

@@ -1,12 +1,11 @@
 //! Criterion microbenchmarks of the simulation substrate: event-engine
-//! throughput, packet-level network simulation rate, and the sequential vs
-//! conservative-parallel schedulers.
+//! throughput and packet-level network simulation rate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hrviz_network::{
     DragonflyConfig, MsgInjection, NetworkSpec, RoutingAlgorithm, Simulation, TerminalId,
 };
-use hrviz_pdes::{Ctx, Engine, Lp, LpId, ParallelEngine, SimTime};
+use hrviz_pdes::{Ctx, Engine, Lp, LpId, SimTime};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 struct PholdLp {
@@ -40,22 +39,11 @@ fn bench_pdes(c: &mut Criterion) {
                 for s in 0..16 {
                     eng.schedule(SimTime(s), LpId((s % n as u64) as u32), Ball { hops: 1000 });
                 }
-                eng.run_to_completion();
+                eng.try_run_to_completion().expect("phold drains");
                 eng.stats().events_processed
             })
         });
     }
-    g.bench_function("phold_parallel_4", |b| {
-        b.iter(|| {
-            let n = 1024u32;
-            let pop = (0..n).map(|i| PholdLp { n, state: i as u64 + 1 }).collect();
-            let mut eng = ParallelEngine::new(pop, SimTime(10), 4);
-            for s in 0..16u64 {
-                eng.schedule(SimTime(s), LpId((s % n as u64) as u32), Ball { hops: 1000 });
-            }
-            eng.run_to_completion().events_processed
-        })
-    });
     g.finish();
 }
 
@@ -87,9 +75,8 @@ fn uniform_sim(msgs: u64) -> Simulation {
 fn bench_network(c: &mut Criterion) {
     let mut g = c.benchmark_group("network");
     g.sample_size(10);
-    g.bench_function("uniform_342t_seq", |b| b.iter(|| uniform_sim(8).run().events_processed));
-    g.bench_function("uniform_342t_par4", |b| {
-        b.iter(|| uniform_sim(8).run_parallel(4).events_processed)
+    g.bench_function("uniform_342t_seq", |b| {
+        b.iter(|| uniform_sim(8).try_run().expect("simulation completes").events_processed)
     });
     for routing in [
         RoutingAlgorithm::Minimal,
@@ -110,7 +97,7 @@ fn bench_network(c: &mut Criterion) {
                         job: 0,
                     });
                 }
-                sim.run().events_processed
+                sim.try_run().expect("simulation completes").events_processed
             })
         });
     }

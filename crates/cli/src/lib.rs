@@ -611,8 +611,12 @@ fn faulted_sim(cli: &Cli, mut spec: NetworkSpec) -> Result<Simulation, HrvizErro
     Ok(sim)
 }
 
-fn simulate(cli: &Cli, routing: RoutingAlgorithm) -> Result<RunData, HrvizError> {
-    Ok(simulate_checkpointed(cli, routing)?.0)
+fn simulate(
+    cli: &Cli,
+    routing: RoutingAlgorithm,
+    collector: &Collector,
+) -> Result<RunData, HrvizError> {
+    Ok(simulate_checkpointed(cli, routing, collector)?.0)
 }
 
 /// Like [`simulate`], honoring `--checkpoint-every` / `--restore-from`:
@@ -621,6 +625,7 @@ fn simulate(cli: &Cli, routing: RoutingAlgorithm) -> Result<RunData, HrvizError>
 fn simulate_checkpointed(
     cli: &Cli,
     routing: RoutingAlgorithm,
+    collector: &Collector,
 ) -> Result<(RunData, Vec<PathBuf>), HrvizError> {
     let cfg = terminals_of(cli)?;
     let pattern = pattern_of(
@@ -641,7 +646,7 @@ fn simulate_checkpointed(
         scfg.stride = s.parse().map_err(|_| HrvizError::usage("--stride must be a number"))?;
     }
     sim.inject_all(generate_synthetic(job, &meta, &scfg));
-    let sim = sim.with_collector(hrviz_obs::get());
+    let sim = sim.with_collector(collector.clone());
 
     let every = match cli.options.get("checkpoint-every") {
         Some(v) => Some(SimTime::micros(v.parse().map_err(|_| {
@@ -727,7 +732,7 @@ pub fn run(cli: &Cli) -> Result<RunOutput, HrvizError> {
         collector = Collector::enabled();
     }
     hrviz_obs::install(collector.clone());
-    let mut result = dispatch(cli);
+    let mut result = dispatch(cli, &collector);
     // Final snapshot + flush even on error paths: a failed run's trace
     // is exactly the one worth keeping.
     collector.finalize().map_err(|e| HrvizError::io("trace output", e))?;
@@ -744,12 +749,15 @@ pub fn run(cli: &Cli) -> Result<RunOutput, HrvizError> {
     result
 }
 
-fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
+/// Execute the command. Simulations report to `collector`, the one `run`
+/// built for this invocation — never re-read from the process-global slot,
+/// which a concurrent caller may have re-installed meanwhile.
+fn dispatch(cli: &Cli, collector: &Collector) -> Result<RunOutput, HrvizError> {
     match cli.command.as_str() {
         "view" => {
             let routing =
                 routing_of(cli.options.get("routing").map(String::as_str).unwrap_or("adaptive"))?;
-            let (run, checkpoints) = simulate_checkpointed(cli, routing)?;
+            let (run, checkpoints) = simulate_checkpointed(cli, routing, collector)?;
             let vreq = view_request_of(cli, false)?;
             let ds = DataSet::builder(&run).build();
             let view =
@@ -776,7 +784,7 @@ fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
             let routing =
                 routing_of(cli.options.get("routing").map(String::as_str).unwrap_or("adaptive"))?;
             let mut sim = faulted_sim(cli, NetworkSpec::new(cfg).with_routing(routing))?
-                .with_collector(hrviz_obs::get());
+                .with_collector(collector.clone());
             sim.inject_all(msgs);
             let run = sim.try_run()?;
             let spec = spec_of(cli)?;
@@ -802,7 +810,7 @@ fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
             }
             let vreq = view_request_of(cli, true)?;
             let runs: Vec<RunData> =
-                routings.iter().map(|&r| simulate(cli, r)).collect::<Result<_, _>>()?;
+                routings.iter().map(|&r| simulate(cli, r, collector)).collect::<Result<_, _>>()?;
             let datasets: Vec<DataSet> = runs.iter().map(|r| DataSet::builder(r).build()).collect();
             let refs: Vec<&DataSet> = datasets.iter().collect();
             let views =
@@ -833,16 +841,20 @@ fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
             let resume = cli.options.contains_key("resume");
             let store_dir =
                 cli.options.get("store").cloned().unwrap_or_else(|| "out/store".to_string());
-            let store = match cli.options.get("shards") {
-                Some(n) => {
-                    let shards: u32 =
-                        n.parse().map_err(|_| HrvizError::usage("--shards must be a number"))?;
-                    RunStore::open_sharded(&store_dir, shards)?
-                }
+            // Validate every flag before opening (and so creating and
+            // fsck-writing) the store: a usage error must leave no trace.
+            let shards = cli
+                .options
+                .get("shards")
+                .map(|n| n.parse::<u32>())
+                .transpose()
+                .map_err(|_| HrvizError::usage("--shards must be a number"))?;
+            let stream = stream_options_of(cli)?;
+            let store = match shards {
+                Some(shards) => RunStore::open_sharded(&store_dir, shards)?,
                 None => RunStore::open(&store_dir)?,
             };
             let engine = SweepEngine::new(store).with_workers(workers);
-            let stream = stream_options_of(cli)?;
             let base = if resume { SweepOptions::resume() } else { SweepOptions::default() };
             let opts = SweepOptions { stream, ..base };
             let outcome = engine.run_with(&spec, &opts)?;
@@ -1637,8 +1649,21 @@ mod tests {
         // Aborted runs never become servable completions.
         assert!(RunStore::open(&store).unwrap().runs().unwrap().is_empty());
 
-        let bad = args(&["sweep", "--terminals", "72", "--abort-policy", "nonsense"]);
-        assert!(run(&parse_args(&bad).unwrap()).is_err());
+        // Bad flags are rejected before the store is opened (and created).
+        let untouched = dir.join("s");
+        for flag in [["--abort-policy", "nonsense"], ["--shards", "many"]] {
+            let bad = args(&[
+                "sweep",
+                "--terminals",
+                "72",
+                flag[0],
+                flag[1],
+                "--store",
+                untouched.to_str().unwrap(),
+            ]);
+            assert!(run(&parse_args(&bad).unwrap()).is_err(), "{flag:?} must be rejected");
+            assert!(!untouched.exists(), "{flag:?} created the store before failing");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -305,7 +305,8 @@ type BrushPredicate<'a> = Box<dyn Fn(&TerminalRow) -> bool + 'a>;
 /// ```
 /// # use hrviz_core::DataSet;
 /// # use hrviz_network::{DragonflyConfig, NetworkSpec, Simulation};
-/// # let run = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2))).run();
+/// # let sim = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2)));
+/// # let run = sim.try_run().expect("simulation completes");
 /// let ds = DataSet::builder(&run).drop_idle().build();
 /// ```
 pub struct DataSetBuilder<'a> {
@@ -602,7 +603,7 @@ mod tests {
                 job,
             });
         }
-        sim.run()
+        sim.try_run().expect("simulation completes")
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!     bytes: 8192,
 //!     job: 0,
 //! });
-//! let run = sim.run();
+//! let run = sim.try_run().expect("simulation completes");
 //! assert_eq!(run.delivered_bytes(), 8192);
 //! let ds = run.to_dataset();        // same analytics as the Dragonfly
 //! assert_eq!(ds.terminals.len(), 16);

@@ -9,10 +9,10 @@ use hrviz_network::events::NetEvent;
 use hrviz_network::terminal::TerminalLp;
 use hrviz_network::topology::TerminalId;
 use hrviz_network::traffic::{JobMeta, MsgInjection};
-use hrviz_network::NO_JOB;
-use hrviz_obs::Json;
-use hrviz_pdes::{Ctx, Engine, Lp, RunOutcome, SimTime, WatchdogConfig};
-use hrviz_stream::{CumulativeTotals, SliceControl, SliceCursor, SliceSink, StreamedOutcome};
+use hrviz_network::{broadcast_faults, NO_JOB};
+use hrviz_obs::Collector;
+use hrviz_pdes::{Ctx, Engine, Lp, SimTime, WatchdogConfig};
+use hrviz_stream::{CumulativeTotals, SliceSink, StreamedOutcome};
 
 // Hosts dominate the node population; keep the flat in-place layout rather
 // than boxing (same trade-off as `hrviz_network::NetNode`).
@@ -130,22 +130,9 @@ impl FatTreeSim {
         }
     }
 
-    /// Run to completion and extract results.
-    ///
-    /// Panics on a watchdog trip or failed credit audit; prefer
-    /// [`FatTreeSim::try_run`] for fault-injected workloads.
-    pub fn run(self) -> FatTreeRun {
-        match self.try_run() {
-            Ok(run) => run,
-            Err(e) => panic!("fat-tree simulation failed: {e}"),
-        }
-    }
-
     /// Build the LP population and engine (shared by the batch and
     /// streamed run paths). Fault broadcasts are scheduled here.
-    fn assemble(
-        mut self,
-    ) -> (FatTreeConfig, Vec<JobMeta>, Engine<NetEvent, FtNode>, hrviz_obs::Collector) {
+    fn assemble(mut self) -> (FatTreeConfig, Vec<JobMeta>, Engine<NetEvent, FtNode>, Collector) {
         let cfg = self.cfg;
         let mut nodes = Vec::with_capacity(cfg.num_lps() as usize);
         for hst in 0..cfg.num_hosts() {
@@ -185,43 +172,21 @@ impl FatTreeSim {
         if let Some(wd) = self.watchdog {
             engine.set_watchdog(wd);
         }
-        if !self.faults.is_empty() {
-            for tf in self.faults.events() {
-                collector.event(
-                    "fault_injected",
-                    &[
-                        ("time_ns", Json::U64(tf.time.0)),
-                        ("kind", Json::Str(tf.fault.kind().to_string())),
-                        ("router", Json::U64(tf.fault.router() as u64)),
-                    ],
-                );
-                for sw in 0..cfg.num_switches() {
-                    engine.schedule(tf.time, cfg.switch_lp(sw), NetEvent::Fault(tf.fault));
-                }
-            }
-            collector.counter_add("net/fault_events", self.faults.len() as u64);
-        }
+        let switches = (0..cfg.num_switches()).map(|sw| cfg.switch_lp(sw));
+        broadcast_faults(&self.faults, &collector, switches, |t, lp, ev| {
+            engine.schedule(t, lp, ev)
+        });
         (cfg, self.jobs, engine, collector)
     }
 
     /// Run to completion, converting watchdog trips and credit-audit
-    /// failures into structured errors instead of panicking.
+    /// failures into structured errors.
     pub fn try_run(self) -> Result<FatTreeRun, HrvizError> {
         let (cfg, jobs, mut engine, collector) = self.assemble();
         let span = collector.span("sim/fattree_run");
         engine.try_run_to_completion()?;
-        let stats = engine.stats();
-        span.end();
-        let run = FatTreeRun {
-            cfg,
-            jobs,
-            nodes: engine.into_lps(),
-            end_time: stats.end_time,
-            events_processed: stats.events_processed,
-        };
-        collector.counter_add("net/packets_dropped", run.dropped_packets());
-        collector.counter_add("net/packets_rerouted", run.rerouted_packets());
-        Ok(run)
+        drop(span);
+        Ok(FatTreeRun::extract(cfg, jobs, engine, &collector))
     }
 
     /// Run to completion, sealing one [`hrviz_stream::Slice`] of counter
@@ -233,59 +198,19 @@ impl FatTreeSim {
         window: SimTime,
         sink: SliceSink<'_>,
     ) -> Result<StreamedOutcome<FatTreeRun>, HrvizError> {
-        let every = window.as_nanos();
-        if every == 0 {
-            return Err(HrvizError::config("slice window must be positive"));
-        }
         let (cfg, jobs, mut engine, collector) = self.assemble();
         let span = collector.span("sim/fattree_run");
         let hosts = cfg.num_hosts() as usize;
-        let mut cursor = SliceCursor::new(hosts);
-        // Absolute-multiple grid, matching the Dragonfly streamed path.
-        let mut next = engine.now().as_nanos() / every + 1;
-        loop {
-            let bound = next.saturating_mul(every);
-            let outcome = engine.try_run_until(SimTime(bound))?;
-            if outcome != RunOutcome::TimeBound {
-                // Finalize (on_finish + drain audit) before the last cut.
-                engine.try_run_to_completion()?;
-                let t_end = engine.now().as_nanos();
-                if let Some(slice) = cursor.cut(t_end, ft_totals(engine.lps(), hosts)) {
-                    if let SliceControl::Abort(reason) = sink(&slice)? {
-                        span.end();
-                        return Ok(StreamedOutcome::Aborted {
-                            reason,
-                            at_ns: t_end,
-                            slices: cursor.slices(),
-                        });
-                    }
-                }
-                break;
-            }
-            if let Some(slice) = cursor.cut(bound, ft_totals(engine.lps(), hosts)) {
-                if let SliceControl::Abort(reason) = sink(&slice)? {
-                    span.end();
-                    return Ok(StreamedOutcome::Aborted {
-                        reason,
-                        at_ns: bound,
-                        slices: cursor.slices(),
-                    });
-                }
-            }
-            next = (engine.now().as_nanos() / every + 1).max(next + 1);
-        }
-        let stats = engine.stats();
-        span.end();
-        let run = FatTreeRun {
-            cfg,
-            jobs,
-            nodes: engine.into_lps(),
-            end_time: stats.end_time,
-            events_processed: stats.events_processed,
-        };
-        collector.counter_add("net/packets_dropped", run.dropped_packets());
-        collector.counter_add("net/packets_rerouted", run.rerouted_packets());
-        Ok(StreamedOutcome::Completed(run))
+        let outcome = hrviz_stream::run_sliced(
+            &mut engine,
+            SimTime::MAX,
+            window,
+            hosts,
+            |eng| ft_totals(eng.lps(), hosts),
+            sink,
+        )?;
+        drop(span);
+        Ok(outcome.map(|()| FatTreeRun::extract(cfg, jobs, engine, &collector)))
     }
 }
 
@@ -295,15 +220,7 @@ fn ft_totals<'a>(nodes: impl Iterator<Item = &'a FtNode>, hosts: usize) -> Cumul
         CumulativeTotals { per_terminal: vec![(0, 0); hosts], ..CumulativeTotals::default() };
     for node in nodes {
         match node {
-            FtNode::Host(h) => {
-                cur.delivered_packets += h.stats.packets_finished;
-                cur.delivered_bytes += h.stats.recv_bytes;
-                cur.injected_packets += h.stats.packets_sent;
-                cur.injected_bytes += h.stats.injected_bytes;
-                if let Some(slot) = cur.per_terminal.get_mut(h.id.0 as usize) {
-                    *slot = (h.stats.latency_sum_ns, h.stats.packets_finished);
-                }
-            }
+            FtNode::Host(h) => h.add_to_totals(&mut cur),
             FtNode::Switch(s) => {
                 cur.dropped_packets += s.drops().total();
                 for port in s.ports() {
@@ -327,6 +244,27 @@ pub struct FatTreeRun {
 }
 
 impl FatTreeRun {
+    /// Take the results out of a finished engine and report drop/reroute
+    /// telemetry.
+    fn extract(
+        cfg: FatTreeConfig,
+        jobs: Vec<JobMeta>,
+        engine: Engine<NetEvent, FtNode>,
+        collector: &Collector,
+    ) -> FatTreeRun {
+        let stats = engine.stats();
+        let run = FatTreeRun {
+            cfg,
+            jobs,
+            nodes: engine.into_lps(),
+            end_time: stats.end_time,
+            events_processed: stats.events_processed,
+        };
+        collector.counter_add("net/packets_dropped", run.dropped_packets());
+        collector.counter_add("net/packets_rerouted", run.rerouted_packets());
+        run
+    }
+
     /// Total bytes delivered to hosts.
     pub fn delivered_bytes(&self) -> u64 {
         self.hosts().map(|h| h.stats.recv_bytes).sum()
@@ -497,6 +435,7 @@ mod tests {
     use super::*;
     use hrviz_core::{build_view, EntityKind, Field, LevelSpec, ProjectionSpec, RibbonSpec};
     use hrviz_faults::FaultEvent;
+    use hrviz_stream::SliceControl;
     use rand::{Rng, SeedableRng};
 
     fn msg(t: u64, src: u32, dst: u32, bytes: u64) -> MsgInjection {
@@ -508,7 +447,7 @@ mod tests {
         let cfg = FatTreeConfig::try_new(4).expect("valid k");
         let mut sim = FatTreeSim::new(cfg, UpRouting::Ecmp);
         sim.inject(msg(0, 0, 15, 10_000)); // pod 0 → pod 3: full up/down
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         assert_eq!(run.delivered_bytes(), 10_000);
         let ds = run.to_dataset();
         // 5 switch hops: edge, agg, core, agg, edge.
@@ -521,7 +460,7 @@ mod tests {
         let cfg = FatTreeConfig::try_new(4).expect("valid k");
         let mut sim = FatTreeSim::new(cfg, UpRouting::Ecmp);
         sim.inject(msg(0, 0, 1, 4096)); // same edge switch
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         let ds = run.to_dataset();
         assert_eq!(ds.terminals[1].avg_hops, 1.0);
         // No pod or core link carries traffic.
@@ -544,7 +483,7 @@ mod tests {
                     expect += 4096;
                 }
             }
-            let run = sim.run();
+            let run = sim.try_run().expect("simulation completes");
             assert_eq!(run.delivered_bytes(), expect, "{}", routing.name());
         }
     }
@@ -637,7 +576,7 @@ mod tests {
                     sim.inject(msg(k * 100, src, 4 + src, 16 * 1024));
                 }
             }
-            sim.run()
+            sim.try_run().expect("simulation completes")
         };
         let ecmp = run_with(UpRouting::Ecmp);
         let ada = run_with(UpRouting::Adaptive);
@@ -737,7 +676,7 @@ mod tests {
                 job: 0,
             });
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         let ds = run.to_dataset();
         // The Dragonfly projection machinery works unchanged: pods as
         // groups, pod links bundled as ribbons.
@@ -768,7 +707,7 @@ mod tests {
         let cfg = FatTreeConfig::try_new(4).expect("valid k");
         let mut sim = FatTreeSim::new(cfg, UpRouting::Ecmp);
         sim.inject(msg(0, 0, 15, 64 * 1024));
-        let ds = sim.run().to_dataset();
+        let ds = sim.try_run().expect("simulation completes").to_dataset();
         // 20 switches → 20 router rows; cores in pseudo-group 4.
         assert_eq!(ds.routers.len(), 20);
         let core_rows: Vec<_> = ds.routers.iter().filter(|r| r.group == 4).collect();

@@ -1,7 +1,7 @@
 //! The liveness state a router consults while routing.
 //!
 //! Every router/switch LP holds its own [`FaultView`] and receives every
-//! fault event (fault broadcast keeps the sequential and parallel engines
+//! fault event (fault broadcast keeps replays and restored runs
 //! bit-identical: the events ride the normal deterministic event order).
 //! The containers are ordered (`BTree*`) so iteration — and therefore any
 //! derived behaviour — is deterministic.

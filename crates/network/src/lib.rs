@@ -14,9 +14,9 @@
 //!   terminal data size / busy time / packets finished / mean latency /
 //!   mean hops / job id (paper Fig. 2a), plus time-series sampling at any
 //!   rate (paper §III),
-//! * [`Simulation`] — assembly + execution on the sequential or the
-//!   conservative-parallel engine (bit-identical results), producing a
-//!   [`RunData`] consumed by `hrviz-core`.
+//! * [`Simulation`] — assembly + execution on the engine's absolute
+//!   virtual-time grid (plain, checkpointed or streamed — bit-identical
+//!   results), producing a [`RunData`] consumed by `hrviz-core`.
 //!
 //! ## Example
 //!
@@ -35,7 +35,7 @@
 //!     bytes: 8192,
 //!     job: 0,
 //! });
-//! let run = sim.run();
+//! let run = sim.try_run().expect("simulation completes");
 //! assert_eq!(run.total_delivered(), 8192);
 //! ```
 
@@ -65,6 +65,6 @@ pub use packet::{JobId, Packet, RoutePlan, NO_JOB};
 pub use router::DropCounters;
 pub use routing::RoutingAlgorithm;
 pub use sampling::Bins;
-pub use sim::{CheckpointOptions, CheckpointSink, Simulation};
+pub use sim::{broadcast_faults, CheckpointOptions, CheckpointSink, Simulation};
 pub use topology::{GroupId, RouterId, TerminalId, Topology};
 pub use traffic::{JobMeta, MsgInjection};

@@ -1,9 +1,9 @@
 //! Simulation assembly and execution.
 //!
 //! [`Simulation`] builds the LP population from a [`NetworkSpec`], installs
-//! workload injections and job metadata, runs the engine (sequential or
-//! conservative-parallel — bit-identical results), and extracts a
-//! [`RunData`].
+//! workload injections and job metadata, runs the engine over its absolute
+//! virtual-time grid (plain, checkpointed or streamed — bit-identical
+//! results), and extracts a [`RunData`].
 
 use crate::config::NetworkSpec;
 use crate::events::NetEvent;
@@ -17,8 +17,10 @@ use crate::traffic::{JobMeta, MsgInjection};
 use hrviz_faults::{FaultSchedule, HrvizError};
 use hrviz_obs::{Collector, Json};
 use hrviz_pdes::wire::SnapshotError;
-use hrviz_pdes::{Engine, LpId, ParallelEngine, RunOutcome, SimTime, WatchdogConfig};
-use hrviz_stream::{CumulativeTotals, SliceControl, SliceCursor, SliceSink, StreamedOutcome};
+use hrviz_pdes::{Engine, LpId, SimTime, WatchdogConfig};
+use hrviz_stream::{CumulativeTotals, SliceSink, StreamedOutcome};
+use std::num::NonZeroU64;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Receives each checkpoint a [`Simulation::try_run_checkpointed`] run
@@ -150,8 +152,8 @@ impl Simulation {
     }
 
     /// Attach a fault schedule. Each timed event is broadcast to every
-    /// router at its trigger time over the engines' deterministic external
-    /// injection path, so sequential and parallel runs stay bit-identical.
+    /// router at its trigger time over the engine's deterministic external
+    /// injection path, so replays and restored runs stay bit-identical.
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = faults;
         self
@@ -161,28 +163,6 @@ impl Simulation {
     pub fn with_watchdog(mut self, cfg: WatchdogConfig) -> Self {
         self.watchdog = Some(cfg);
         self
-    }
-
-    /// Broadcast the fault schedule through `schedule` and report it.
-    fn broadcast_faults(&self, mut schedule: impl FnMut(SimTime, LpId, NetEvent)) {
-        if self.faults.is_empty() {
-            return;
-        }
-        let cfg = self.spec.topology;
-        for tf in self.faults.events() {
-            self.collector.event(
-                "fault_injected",
-                &[
-                    ("time_ns", Json::U64(tf.time.0)),
-                    ("kind", Json::Str(tf.fault.kind().to_string())),
-                    ("router", Json::U64(tf.fault.router() as u64)),
-                ],
-            );
-            for r in 0..cfg.num_routers() {
-                schedule(tf.time, self.topo.router_lp(RouterId(r)), NetEvent::Fault(tf.fault));
-            }
-        }
-        self.collector.counter_add("net/fault_events", self.faults.len() as u64);
     }
 
     fn build_nodes(&mut self) -> Vec<NetNode> {
@@ -219,257 +199,137 @@ impl Simulation {
         nodes
     }
 
-    /// Run on the sequential engine. Panics if the watchdog or the
-    /// end-of-run credit auditor reports a failure — use
-    /// [`Simulation::try_run`] for structured errors.
-    pub fn run(self) -> RunData {
-        match self.run_inner(false) {
-            Ok(run) => run,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
-    }
-
-    /// Run on the sequential engine with watchdog and end-of-run credit
-    /// auditing: silent deadlocks come back as structured errors.
-    pub fn try_run(self) -> Result<RunData, HrvizError> {
-        self.run_inner(true)
-    }
-
-    /// Run on the sequential engine with checkpoint/restore support:
-    /// restore from a prior snapshot, periodically snapshot into `sink`, or
-    /// both (resuming a run keeps checkpointing at the same absolute
-    /// boundaries). Checkpoint-restart is bit-identical to a
-    /// straight-through run — same [`RunData`], same later checkpoints.
-    pub fn try_run_checkpointed(
-        self,
-        opts: CheckpointOptions<'_>,
-        sink: CheckpointSink<'_>,
-    ) -> Result<RunData, HrvizError> {
-        self.run_core(true, opts, Some(sink))
-    }
-
-    fn run_inner(self, checked: bool) -> Result<RunData, HrvizError> {
-        self.run_core(checked, CheckpointOptions::default(), None)
-    }
-
-    fn run_core(
-        mut self,
-        checked: bool,
-        opts: CheckpointOptions<'_>,
-        mut sink: Option<CheckpointSink<'_>>,
-    ) -> Result<RunData, HrvizError> {
-        let collector = self.collector.clone();
-        let span = collector.span("sim/run");
+    /// Build the engine over the LP population, with telemetry, budget and
+    /// watchdog attached: restored from `restore_from`, or with the fault
+    /// broadcasts scheduled. (A snapshot carries the full pending-event
+    /// set, fault broadcasts included, so a restore re-schedules nothing.)
+    fn engine(
+        &mut self,
+        restore_from: Option<&[u8]>,
+    ) -> Result<Engine<NetEvent, NetNode>, HrvizError> {
         let nodes = self.build_nodes();
         let mut engine = Engine::new(nodes, self.spec.lookahead());
-        engine.set_collector(collector.clone());
+        engine.set_collector(self.collector.clone());
         engine.set_event_budget(self.event_budget);
         if let Some(w) = self.watchdog {
             engine.set_watchdog(w);
         }
-        match opts.restore_from {
+        match restore_from {
             Some(bytes) => {
-                // The snapshot carries the full pending-event set (fault
-                // broadcasts included), so nothing is re-scheduled here.
                 engine.restore(bytes).map_err(snapshot_to_hrviz)?;
-                collector.counter_add("sim/checkpoint_restores", 1);
+                self.collector.counter_add("sim/checkpoint_restores", 1);
             }
-            None => self.broadcast_faults(|t, lp, ev| engine.schedule(t, lp, ev)),
-        }
-        if let Some(every) = opts.every {
-            let every = every.as_nanos();
-            if every == 0 {
-                return Err(HrvizError::config("checkpoint interval must be positive"));
-            }
-            // Boundaries are absolute multiples of the interval (tracked as
-            // the multiple index so quiet stretches skip ahead but the grid
-            // itself never shifts — interrupted and straight-through runs
-            // share it).
-            let mut next = engine.now().as_nanos() / every + 1;
-            loop {
-                let bound = next.saturating_mul(every);
-                if SimTime(bound) >= self.horizon {
-                    break;
-                }
-                let outcome = if checked {
-                    engine.try_run_until(SimTime(bound))?
-                } else {
-                    engine.run_until(SimTime(bound))
-                };
-                if outcome != RunOutcome::TimeBound {
-                    break; // drained or budget-exhausted: no boundary reached
-                }
-                let snap = engine.snapshot().map_err(snapshot_to_hrviz)?;
-                collector.counter_add("sim/checkpoints", 1);
-                if let Some(sink) = sink.as_mut() {
-                    sink(SimTime(bound), &snap)?;
-                }
-                next = (engine.now().as_nanos() / every + 1).max(next + 1);
+            None => {
+                let routers = (0..self.spec.topology.num_routers()).map(RouterId);
+                let lps = routers.map(|r| self.topo.router_lp(r));
+                broadcast_faults(&self.faults, &self.collector, lps, |t, lp, ev| {
+                    engine.schedule(t, lp, ev)
+                });
             }
         }
-        if self.horizon == SimTime::MAX {
-            if checked {
-                engine.try_run_to_completion()?;
-            } else {
-                engine.run_to_completion();
-            }
-        } else {
-            if checked {
-                engine.try_run_until(self.horizon)?;
-            } else {
-                engine.run_until(self.horizon);
-            }
-            let now = engine.now();
-            // Finalize open intervals at the horizon.
-            for i in 0..engine.num_lps() {
-                use hrviz_pdes::Lp;
-                engine.lp_mut(hrviz_pdes::LpId(i as u32)).on_finish(now);
-            }
-        }
+        Ok(engine)
+    }
+
+    /// Extract the finished run and report network telemetry.
+    fn extract(self, engine: Engine<NetEvent, NetNode>) -> RunData {
         let stats = engine.stats();
         let nodes = engine.into_lps();
         let run = {
-            let _extract = collector.span("sim/extract");
+            let _extract = self.collector.span("sim/extract");
             RunData::extract(&self.spec, self.jobs, &nodes, stats)
         };
-        report_network(&collector, &nodes, &run);
-        span.end();
-        Ok(run)
+        report_network(&self.collector, &nodes, &run);
+        run
     }
 
-    /// Run on the sequential engine, sealing one [`hrviz_stream::Slice`]
-    /// of counter deltas into `sink` at every absolute multiple of
-    /// `window` (plus a final partial slice at completion). The sink may
-    /// abort the run mid-flight; the slice grid is absolute, so two runs
-    /// of the same seed cut byte-identical slices regardless of when a
-    /// watcher attached. Slicing is read-only observation of LP state:
-    /// the completed [`RunData`] is bit-identical to [`Simulation::try_run`].
+    /// Run to completion (or the horizon / event budget). The watchdog
+    /// and the end-of-run credit audit turn silent deadlocks and leaks
+    /// into structured errors.
+    pub fn try_run(self) -> Result<RunData, HrvizError> {
+        self.try_run_checkpointed(CheckpointOptions::default(), &mut |_, _| Ok(()))
+    }
+
+    /// Run with checkpoint/restore support: restore from a prior snapshot,
+    /// periodically snapshot into `sink`, or both (resuming a run keeps
+    /// checkpointing at the same absolute boundaries). Checkpoint-restart
+    /// is bit-identical to a straight-through run — same [`RunData`], same
+    /// later checkpoints.
+    pub fn try_run_checkpointed(
+        mut self,
+        opts: CheckpointOptions<'_>,
+        sink: CheckpointSink<'_>,
+    ) -> Result<RunData, HrvizError> {
+        let every = match opts.every.map(|t| NonZeroU64::new(t.as_nanos())) {
+            Some(None) => return Err(HrvizError::config("checkpoint interval must be positive")),
+            every => every.flatten(),
+        };
+        let _span = self.collector.span("sim/run");
+        let mut engine = self.engine(opts.restore_from)?;
+        let collector = &self.collector;
+        // The checkpoint observer never stops the run early.
+        let _ = engine.run_grid(self.horizon, every, |eng, bound| {
+            let snap = eng.snapshot().map_err(snapshot_to_hrviz)?;
+            collector.counter_add("sim/checkpoints", 1);
+            sink(bound, &snap)?;
+            Ok::<_, HrvizError>(ControlFlow::<()>::Continue(()))
+        })?;
+        Ok(self.extract(engine))
+    }
+
+    /// Run, sealing one [`hrviz_stream::Slice`] of counter deltas into
+    /// `sink` at every absolute multiple of `window` (plus a final partial
+    /// slice at completion). The sink may abort the run mid-flight; the
+    /// slice grid is absolute, so two runs of the same seed cut
+    /// byte-identical slices regardless of when a watcher attached, at the
+    /// same boundaries a checkpointed run snapshots at. Slicing is
+    /// read-only observation of LP state: the completed [`RunData`] is
+    /// bit-identical to [`Simulation::try_run`].
     pub fn try_run_streamed(
         mut self,
         window: SimTime,
         sink: SliceSink<'_>,
     ) -> Result<StreamedOutcome<RunData>, HrvizError> {
-        let every = window.as_nanos();
-        if every == 0 {
-            return Err(HrvizError::config("slice window must be positive"));
-        }
-        let collector = self.collector.clone();
-        let span = collector.span("sim/run");
-        let nodes = self.build_nodes();
+        let _span = self.collector.span("sim/run");
         let terminals = self.spec.topology.num_terminals() as usize;
-        let mut engine = Engine::new(nodes, self.spec.lookahead());
-        engine.set_collector(collector.clone());
-        engine.set_event_budget(self.event_budget);
-        if let Some(w) = self.watchdog {
-            engine.set_watchdog(w);
-        }
-        self.broadcast_faults(|t, lp, ev| engine.schedule(t, lp, ev));
-        let mut cursor = SliceCursor::new(terminals);
-        // Same absolute-multiple grid as the checkpoint path: the grid
-        // never shifts, so every observer of this config sees the same
-        // window boundaries.
-        let mut next = engine.now().as_nanos() / every + 1;
-        loop {
-            let bound = next.saturating_mul(every);
-            let capped = SimTime(bound) >= self.horizon;
-            let until = if capped { self.horizon } else { SimTime(bound) };
-            let outcome = engine.try_run_until(until)?;
-            let drained = outcome != RunOutcome::TimeBound;
-            if drained || capped {
-                // Finalize exactly as the batch paths do (on_finish, plus
-                // the drain audit when unbounded) *before* cutting the
-                // final partial slice, so it sees post-finish counters.
-                if self.horizon == SimTime::MAX {
-                    engine.try_run_to_completion()?;
-                } else {
-                    let now = engine.now();
-                    for i in 0..engine.num_lps() {
-                        use hrviz_pdes::Lp;
-                        engine.lp_mut(LpId(i as u32)).on_finish(now);
-                    }
-                }
-                let t_end = engine.now().as_nanos();
-                if let Some(slice) = cursor.cut(t_end, net_totals(engine.lps(), terminals)) {
-                    if let SliceControl::Abort(reason) = sink(&slice)? {
-                        span.end();
-                        return Ok(StreamedOutcome::Aborted {
-                            reason,
-                            at_ns: t_end,
-                            slices: cursor.slices(),
-                        });
-                    }
-                }
-                break;
-            }
-            let t_end = until.as_nanos();
-            if let Some(slice) = cursor.cut(t_end, net_totals(engine.lps(), terminals)) {
-                if let SliceControl::Abort(reason) = sink(&slice)? {
-                    span.end();
-                    return Ok(StreamedOutcome::Aborted {
-                        reason,
-                        at_ns: t_end,
-                        slices: cursor.slices(),
-                    });
-                }
-            }
-            next = (engine.now().as_nanos() / every + 1).max(next + 1);
-        }
-        let stats = engine.stats();
-        let nodes = engine.into_lps();
-        let run = {
-            let _extract = collector.span("sim/extract");
-            RunData::extract(&self.spec, self.jobs, &nodes, stats)
-        };
-        report_network(&collector, &nodes, &run);
-        span.end();
-        Ok(StreamedOutcome::Completed(run))
+        let mut engine = self.engine(None)?;
+        let outcome = hrviz_stream::run_sliced(
+            &mut engine,
+            self.horizon,
+            window,
+            terminals,
+            |eng| net_totals(eng.lps(), terminals),
+            sink,
+        )?;
+        Ok(outcome.map(|()| self.extract(engine)))
     }
+}
 
-    /// Run on the conservative parallel engine with `partitions` workers.
-    /// Produces results identical to [`Simulation::run`].
-    pub fn run_parallel(self, partitions: usize) -> RunData {
-        match self.run_parallel_inner(partitions, false) {
-            Ok(run) => run,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
+/// Report each event of `faults` and broadcast it to every LP of `targets`
+/// (the routing nodes) at its trigger time through `schedule` — the
+/// engine's deterministic external-injection path.
+pub fn broadcast_faults(
+    faults: &FaultSchedule,
+    collector: &Collector,
+    targets: impl Iterator<Item = LpId> + Clone,
+    mut schedule: impl FnMut(SimTime, LpId, NetEvent),
+) {
+    if faults.is_empty() {
+        return;
     }
-
-    /// Checked variant of [`Simulation::run_parallel`]: watchdog trips and
-    /// credit-audit failures surface as structured errors. Produces results
-    /// identical to [`Simulation::try_run`].
-    pub fn try_run_parallel(self, partitions: usize) -> Result<RunData, HrvizError> {
-        self.run_parallel_inner(partitions, true)
-    }
-
-    fn run_parallel_inner(
-        mut self,
-        partitions: usize,
-        checked: bool,
-    ) -> Result<RunData, HrvizError> {
-        assert!(
-            self.horizon == SimTime::MAX && self.event_budget == u64::MAX,
-            "horizon/budget bounds are only supported on the sequential engine"
+    for tf in faults.events() {
+        collector.event(
+            "fault_injected",
+            &[
+                ("time_ns", Json::U64(tf.time.0)),
+                ("kind", Json::Str(tf.fault.kind().to_string())),
+                ("router", Json::U64(tf.fault.router() as u64)),
+            ],
         );
-        let collector = self.collector.clone();
-        let span = collector.span("sim/run");
-        let nodes = self.build_nodes();
-        let mut engine = ParallelEngine::new(nodes, self.spec.lookahead(), partitions);
-        engine.set_collector(collector.clone());
-        if let Some(w) = self.watchdog {
-            engine.set_watchdog(w);
+        for lp in targets.clone() {
+            schedule(tf.time, lp, NetEvent::Fault(tf.fault));
         }
-        self.broadcast_faults(|t, lp, ev| engine.schedule(t, lp, ev));
-        let stats =
-            if checked { engine.try_run_to_completion()? } else { engine.run_to_completion() };
-        let nodes = engine.into_lps();
-        let run = {
-            let _extract = collector.span("sim/extract");
-            RunData::extract(&self.spec, self.jobs, &nodes, stats)
-        };
-        report_network(&collector, &nodes, &run);
-        span.end();
-        Ok(run)
     }
+    collector.counter_add("net/fault_events", faults.len() as u64);
 }
 
 /// Report network-level boundary telemetry: packet and byte totals, credit
@@ -507,13 +367,7 @@ fn net_totals<'a>(nodes: impl Iterator<Item = &'a NetNode>, terminals: usize) ->
         CumulativeTotals { per_terminal: vec![(0, 0); terminals], ..CumulativeTotals::default() };
     for node in nodes {
         if let Some(t) = node.as_terminal() {
-            cur.delivered_packets += t.stats.packets_finished;
-            cur.delivered_bytes += t.stats.recv_bytes;
-            cur.injected_packets += t.stats.packets_sent;
-            cur.injected_bytes += t.stats.injected_bytes;
-            if let Some(slot) = cur.per_terminal.get_mut(t.id.0 as usize) {
-                *slot = (t.stats.latency_sum_ns, t.stats.packets_finished);
-            }
+            t.add_to_totals(&mut cur);
         } else if let Some(r) = node.as_router() {
             cur.dropped_packets += r.drops().total();
             for port in r.ports() {
@@ -529,6 +383,7 @@ mod tests {
     use super::*;
     use crate::config::DragonflyConfig;
     use crate::routing::RoutingAlgorithm;
+    use hrviz_stream::SliceControl;
 
     fn small_spec() -> NetworkSpec {
         let mut s = NetworkSpec::new(DragonflyConfig::canonical(2)); // 72 terminals
@@ -544,7 +399,7 @@ mod tests {
     fn single_message_is_delivered() {
         let mut sim = Simulation::new(small_spec());
         sim.inject(msg(0, 0, 71, 10_000));
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.total_injected(), 10_000);
         assert_eq!(run.total_delivered(), 10_000);
         let dst = &run.terminals[71];
@@ -560,7 +415,7 @@ mod tests {
         for src in 1..24 {
             sim.inject(msg(0, src, 0, 64 * 1024));
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.total_delivered(), 23 * 64 * 1024);
         // The hot ejection link must have saturated somewhere upstream.
         let total_sat: u64 = run.class_sat_ns(crate::config::LinkClass::Local)
@@ -586,46 +441,12 @@ mod tests {
                 sim.inject(msg(k * 1_000, src, dst, 4096));
             }
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.total_delivered(), run.total_injected());
         assert_eq!(run.total_injected(), n as u64 * 10 * 4096);
         // Every packet takes ≥1 router hop; none lost.
         let pkts: u64 = run.terminals.iter().map(|t| t.packets_finished).sum();
         assert_eq!(pkts, n as u64 * 10 * 2);
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential() {
-        use rand::{Rng, SeedableRng};
-        let build = || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            let mut sim =
-                Simulation::new(small_spec().with_routing(RoutingAlgorithm::adaptive_default()));
-            for src in 0..72 {
-                for k in 0..5u64 {
-                    let dst = (src + 1 + rng.gen_range(0..70)) % 72;
-                    sim.inject(msg(k * 500, src, dst, 8192));
-                }
-            }
-            sim
-        };
-        let seq = build().run();
-        let par = build().run_parallel(4);
-        assert_eq!(seq.events_processed, par.events_processed);
-        assert_eq!(seq.end_time, par.end_time);
-        assert_eq!(seq.total_delivered(), par.total_delivered());
-        for (a, b) in seq.terminals.iter().zip(&par.terminals) {
-            assert_eq!(a.packets_finished, b.packets_finished);
-            assert_eq!(a.avg_latency_ns, b.avg_latency_ns);
-            assert_eq!(a.sat_ns, b.sat_ns);
-        }
-        for (a, b) in seq.local_links.iter().zip(&par.local_links) {
-            assert_eq!(a.traffic, b.traffic);
-            assert_eq!(a.sat_ns, b.sat_ns);
-        }
-        for (a, b) in seq.global_links.iter().zip(&par.global_links) {
-            assert_eq!(a.traffic, b.traffic);
-        }
     }
 
     #[test]
@@ -718,47 +539,28 @@ mod tests {
     }
 
     #[test]
-    fn collector_counters_match_between_engines() {
+    fn collector_reports_network_counters() {
         use hrviz_obs::Collector;
-        let build = || {
-            let mut sim = Simulation::new(small_spec());
-            for src in 0..72u32 {
-                sim.inject(msg(0, src, (src + 36) % 72, 16 * 1024));
-            }
-            sim
-        };
-        let cs = Collector::enabled();
-        let seq = build().with_collector(cs.clone()).run();
-        let cp = Collector::enabled();
-        let par = build().with_collector(cp.clone()).run_parallel(4);
-
-        // The headline acceptance criterion: both engines report identical
-        // delivered-packet (and injected/byte/event) counters.
-        assert_eq!(
-            cs.counter("net/packets_delivered"),
-            cp.counter("net/packets_delivered"),
-            "sequential vs parallel delivered-packet counters diverged"
-        );
-        assert!(cs.counter("net/packets_delivered") > 0);
-        assert_eq!(cs.counter("net/packets_injected"), cp.counter("net/packets_injected"));
-        assert_eq!(cs.counter("net/bytes_delivered"), cp.counter("net/bytes_delivered"));
-        assert_eq!(cs.counter("net/credit_stalls"), cp.counter("net/credit_stalls"));
-        assert_eq!(cs.counter("pdes/events_processed"), cp.counter("pdes/events_processed"));
-        assert_eq!(seq.total_delivered(), par.total_delivered());
-
-        // Both runs recorded the sim/run span and a VC-occupancy histogram.
-        for c in [&cs, &cp] {
-            let snap = c.snapshot();
-            assert_eq!(snap.spans["sim/run"].count, 1);
-            assert!(snap.hists["net/vc_occupancy"].count > 0);
+        let mut sim = Simulation::new(small_spec());
+        for src in 0..72u32 {
+            sim.inject(msg(0, src, (src + 36) % 72, 16 * 1024));
         }
+        let c = Collector::enabled();
+        let run = sim.with_collector(c.clone()).try_run().expect("run");
+        assert_eq!(c.counter("net/packets_delivered"), 72 * 8);
+        assert_eq!(c.counter("net/bytes_delivered"), run.total_delivered());
+        assert_eq!(c.counter("net/bytes_injected"), run.total_injected());
+        assert_eq!(c.counter("pdes/events_processed"), run.events_processed);
+        let snap = c.snapshot();
+        assert_eq!(snap.spans["sim/run"].count, 1);
+        assert!(snap.hists["net/vc_occupancy"].count > 0);
     }
 
     #[test]
     fn run_data_carries_engine_stats() {
         let mut sim = Simulation::new(small_spec());
         sim.inject(msg(0, 0, 71, 10_000));
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert!(run.peak_queue_depth > 0);
         assert!(run.events_scheduled >= run.events_processed);
     }
@@ -775,7 +577,7 @@ mod tests {
             for src in 0..72u32 {
                 sim.inject(msg(0, src, (src + 36) % 72, 16 * 1024));
             }
-            let run = sim.run();
+            let run = sim.try_run().expect("run");
             assert_eq!(
                 run.total_delivered(),
                 72 * 16 * 1024,
@@ -792,7 +594,7 @@ mod tests {
             for src in 0..72u32 {
                 sim.inject(msg(0, src, (src + 36) % 72, 8192));
             }
-            let run = sim.run();
+            let run = sim.try_run().expect("run");
             let pkts: u64 = run.terminals.iter().map(|t| t.packets_finished).sum();
             let hops: f64 =
                 run.terminals.iter().map(|t| t.avg_hops * t.packets_finished as f64).sum::<f64>()
@@ -821,7 +623,7 @@ mod tests {
                 job,
             });
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         let stats = run.job_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].name, "toy");
@@ -840,7 +642,7 @@ mod tests {
         for src in 0..72u32 {
             sim.inject(msg(0, src, (src + 7) % 72, 32 * 1024));
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         let series = run.series.as_ref().expect("sampling enabled");
         let total_term: u64 = series.traffic[0].total();
         assert_eq!(total_term, run.total_injected());
@@ -857,7 +659,7 @@ mod tests {
         for src in 0..72u32 {
             sim.inject(msg(0, src, (src + 36) % 72, 1 << 20));
         }
-        let run = sim.with_horizon(SimTime::micros(5)).run();
+        let run = sim.with_horizon(SimTime::micros(5)).try_run().expect("run");
         assert!(run.end_time <= SimTime::micros(5));
         assert!(run.total_delivered() < run.total_injected());
     }
@@ -877,7 +679,7 @@ mod tests {
                 sim.inject(msg(0, src, (src + 36) % 72, 64 * 1024));
             }
             let sim = sim.with_event_budget(50_000_000);
-            let run = sim.run();
+            let run = sim.try_run().expect("run completes within the budget");
             assert_eq!(
                 run.total_delivered(),
                 72 * 64 * 1024,
@@ -897,7 +699,7 @@ mod tests {
         for src in 1..36u32 {
             sim.inject(msg(0, src, 0, 256 * 1024)); // incast on terminal 0
         }
-        let run = sim.with_horizon(SimTime::micros(20)).run();
+        let run = sim.with_horizon(SimTime::micros(20)).try_run().expect("run");
         let horizon = run.end_time.as_nanos();
         for l in run.local_links.iter().chain(&run.global_links) {
             assert!(l.sat_ns <= horizon);
@@ -970,46 +772,6 @@ mod tests {
         }
         let err = sim.try_run().expect_err("swallowed credits must fail the audit");
         assert!(matches!(err, HrvizError::Sim(SimError::Invariant { .. })), "got {err}");
-    }
-
-    #[test]
-    fn parallel_matches_sequential_under_faults() {
-        use hrviz_faults::FaultEvent;
-        let build = || {
-            let cfg = small_spec().topology;
-            let mut faults = FaultSchedule::new(3);
-            // Global port 0 of router 0 (port index p + a = 6).
-            faults.push(SimTime::ZERO, FaultEvent::LinkDown { router: 0, port: 6 });
-            faults.push(SimTime::micros(2), FaultEvent::RouterDown { router: 17 });
-            faults.push(SimTime::micros(4), FaultEvent::RouterUp { router: 17 });
-            faults.push(
-                SimTime::micros(1),
-                FaultEvent::DegradedLink { router: 5, port: 3, factor: 0.5 },
-            );
-            assert!(17 < cfg.num_routers());
-            let mut sim =
-                Simulation::new(small_spec().with_routing(RoutingAlgorithm::adaptive_default()))
-                    .with_faults(faults);
-            for src in 0..72u32 {
-                sim.inject(msg(0, src, (src + 36) % 72, 16 * 1024));
-            }
-            sim
-        };
-        let seq = build().try_run().expect("sequential");
-        let par = build().try_run_parallel(4).expect("parallel");
-        assert_eq!(seq.events_processed, par.events_processed);
-        assert_eq!(seq.end_time, par.end_time);
-        assert_eq!(seq.total_delivered(), par.total_delivered());
-        assert_eq!(seq.total_dropped(), par.total_dropped());
-        assert_eq!(seq.total_rerouted(), par.total_rerouted());
-        for (a, b) in seq.routers.iter().zip(&par.routers) {
-            assert_eq!(a.dropped, b.dropped);
-            assert_eq!(a.rerouted, b.rerouted);
-        }
-        for (a, b) in seq.terminals.iter().zip(&par.terminals) {
-            assert_eq!(a.packets_finished, b.packets_finished);
-            assert_eq!(a.avg_latency_ns, b.avg_latency_ns);
-        }
     }
 
     #[test]
@@ -1127,6 +889,46 @@ mod tests {
         );
     }
 
+    /// Boundary times of a checkpointed run of `checkpointable_sim`,
+    /// optionally restored from `restore_from`.
+    fn checkpoint_times(every: SimTime, restore_from: Option<&[u8]>) -> Vec<(u64, Vec<u8>)> {
+        let mut cps = Vec::new();
+        checkpointable_sim()
+            .try_run_checkpointed(
+                CheckpointOptions { restore_from, every: Some(every) },
+                &mut |t, bytes| {
+                    cps.push((t.as_nanos(), bytes.to_vec()));
+                    Ok(())
+                },
+            )
+            .expect("checkpointed run");
+        cps
+    }
+
+    #[test]
+    fn checkpoints_and_slices_share_one_grid() {
+        let every = SimTime::micros(2);
+        let mut slices = Vec::new();
+        checkpointable_sim()
+            .try_run_streamed(every, &mut |s: &hrviz_stream::Slice| {
+                slices.push(s.t_end_ns);
+                Ok(SliceControl::Continue)
+            })
+            .expect("streamed run");
+        // Every slice but the final partial one ends on a grid boundary.
+        let edges = &slices[..slices.len() - 1];
+        assert!(edges.len() >= 3, "want several windows, got {}", slices.len());
+
+        let straight = checkpoint_times(every, None);
+        let times: Vec<u64> = straight.iter().map(|(t, _)| *t).collect();
+        assert_eq!(times, edges, "straight run: checkpoint and slice grids differ");
+
+        let (_, mid) = &straight[1];
+        let restored: Vec<u64> =
+            checkpoint_times(every, Some(mid)).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(restored, &edges[1..], "restored run: checkpoint and slice grids differ");
+    }
+
     #[test]
     fn checkpoint_rejects_bad_inputs() {
         let err = checkpointable_sim()
@@ -1152,7 +954,7 @@ mod tests {
         let spec = small_spec();
         let cfg = spec.topology;
         let sim = Simulation::new(spec);
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         // Directed local links: a routers each with a-1 peers per group.
         let a = cfg.routers_per_group as usize;
         let expect_local = cfg.groups as usize * a * (a - 1);

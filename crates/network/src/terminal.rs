@@ -18,6 +18,7 @@ use crate::topology::TerminalId;
 use crate::traffic::MsgInjection;
 use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
 use hrviz_pdes::{Ctx, LpId, SimTime};
+use hrviz_stream::CumulativeTotals;
 use std::collections::VecDeque;
 
 /// Receive/send statistics a terminal accumulates during a run.
@@ -130,6 +131,17 @@ impl TerminalLp {
             cursor: 0,
             next_pkt: (id.0 as u64) << 40,
             stats,
+        }
+    }
+
+    /// Fold this terminal's cumulative counters into live-slice totals.
+    pub fn add_to_totals(&self, cur: &mut CumulativeTotals) {
+        cur.delivered_packets += self.stats.packets_finished;
+        cur.delivered_bytes += self.stats.recv_bytes;
+        cur.injected_packets += self.stats.packets_sent;
+        cur.injected_bytes += self.stats.injected_bytes;
+        if let Some(slot) = cur.per_terminal.get_mut(self.id.0 as usize) {
+            *slot = (self.stats.latency_sum_ns, self.stats.packets_finished);
         }
     }
 

@@ -5,10 +5,9 @@
 //! event per [`SpanRecord`], all under pid 1, with `"M"` metadata events
 //! naming the process and every lane. Spans without an explicit lane land
 //! on their thread's lane (named after the OS thread — e.g.
-//! `hrviz-serve-0`); spans recorded with a lane (engine partitions, sweep
-//! runs) get a synthetic tid starting at [`LANE_TID_BASE`] so the engine
-//! timeline reads as one row per partition/run regardless of which rayon
-//! worker produced it.
+//! `hrviz-serve-0`); spans recorded with a lane (the engine, sweep runs)
+//! get a synthetic tid starting at [`LANE_TID_BASE`] so the timeline reads
+//! as one row per lane regardless of which rayon worker produced it.
 //!
 //! Span ids and parent ids ride along in `args` — they are telemetry
 //! identifiers only and never influence simulation state.

@@ -526,7 +526,7 @@ impl Collector {
     }
 
     /// Record an already-timed span onto an explicit timeline `lane`
-    /// (engine partitions, sweep runs). Folds into the per-label span
+    /// (the engine, sweep runs). Folds into the per-label span
     /// aggregate, appends a `span` event to the trace stream, and lands
     /// in the ring behind `/tracez` and the Chrome exporter. `start_us`
     /// is microseconds since the collector epoch (see

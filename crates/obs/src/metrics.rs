@@ -76,13 +76,11 @@ pub const METRICS: &[MetricDef] = &[
     c("net/packets_rerouted", "packets re-routed around degraded links"),
     h("net/vc_occupancy", "per-sample virtual-channel buffer occupancy fraction"),
     c("obs/flight_dumps", "flight-recorder ring dumps triggered by failures"),
-    c("pdes/barrier_wait_ns", "nanoseconds partitions spent waiting at window barriers, summed"),
     g("pdes/events_per_sec", "sustained event rate of the last engine drain"),
     c("pdes/events_processed", "events dequeued and handed to an Lp"),
-    c("pdes/events_scheduled", "events enqueued into the calendar"),
+    c("pdes/events_scheduled", "events enqueued into the pending-event queue"),
     g("pdes/peak_queue_depth", "high-water mark of the pending event queue"),
     c("pdes/watchdog_trips", "stall/leak watchdog activations"),
-    c("pdes/windows", "conservative-engine synchronization windows executed"),
     c("serve/accept_errors", "listener accept() failures"),
     c("serve/cache_hit", "response-cache hits"),
     c("serve/cache_miss", "response-cache misses"),

@@ -38,7 +38,7 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Small per-thread id assigned on first use.
     pub tid: u64,
-    /// Explicit timeline lane (engine partitions, sweep runs); `None`
+    /// Explicit timeline lane (the engine, sweep runs); `None`
     /// places the span on its thread's lane.
     pub lane: Option<String>,
     /// Hierarchical label, e.g. `serve/request`.

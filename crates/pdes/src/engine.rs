@@ -1,17 +1,21 @@
 //! Sequential discrete-event engine.
 //!
 //! Processes events in the deterministic total order defined by
-//! [`EventKey`]. This engine is the semantic
-//! reference: the parallel scheduler in [`crate::parallel`] is required (and
-//! property-tested) to produce identical LP state.
+//! [`EventKey`]. A run is driven by one loop, [`Engine::try_run_until`],
+//! under the no-progress watchdog; [`Engine::run_grid`] cuts it into
+//! segments at absolute multiples of an interval so boundary observers
+//! (checkpoints, live slices) see the same virtual-time grid on every run
+//! of a configuration, straight-through or restored.
 
-use crate::calendar::{EventQueue, HeapQueue};
 use crate::error::{SimError, WatchdogConfig};
 use crate::event::{Event, EventKey, LpId, EXTERNAL_SRC};
 use crate::lp::{Ctx, Lp};
+use crate::queue::HeapQueue;
 use crate::time::SimTime;
 use crate::wire::{SnapshotError, WirePayload, WireReader, WireWriter};
 use hrviz_obs::{Collector, Json};
+use std::num::NonZeroU64;
+use std::ops::ControlFlow;
 
 /// Magic prefix of an engine snapshot (`"hrvZ"`), followed by a format
 /// version. Restore rejects anything else as corrupt.
@@ -44,7 +48,7 @@ impl EngineStats {
     }
 }
 
-/// Outcome of [`Engine::run_until`].
+/// Outcome of [`Engine::try_run_until`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The pending-event set drained completely.
@@ -79,8 +83,8 @@ pub struct Engine<P, L: Lp<P>> {
 
 impl<P, L: Lp<P>> Engine<P, L> {
     /// Build an engine over `lps`. `lookahead` is the minimum cross-LP
-    /// event delay the model guarantees; the sequential engine only uses it
-    /// for validation, while the parallel engine requires it to be > 0.
+    /// event delay the model guarantees; the engine uses it to validate
+    /// every cross-LP send.
     pub fn new(lps: Vec<L>, lookahead: SimTime) -> Self {
         let n = lps.len();
         Engine {
@@ -108,16 +112,6 @@ impl<P, L: Lp<P>> Engine<P, L> {
         self.collector = collector;
     }
 
-    /// The attached telemetry collector (disabled by default).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
-    /// Number of LPs.
-    pub fn num_lps(&self) -> usize {
-        self.lps.len()
-    }
-
     /// Current simulation time (time of the last processed event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -132,12 +126,6 @@ impl<P, L: Lp<P>> Engine<P, L> {
     pub fn lp(&self, id: LpId) -> &L {
         // lint:allow(slice_index, reason="LpId values are minted by add_lp; a stale id is a model bug the panic surfaces")
         &self.lps[id.index()]
-    }
-
-    /// Mutable access to an LP.
-    pub fn lp_mut(&mut self, id: LpId) -> &mut L {
-        // lint:allow(slice_index, reason="LpId values are minted by add_lp; a stale id is a model bug the panic surfaces")
-        &mut self.lps[id.index()]
     }
 
     /// Iterate over all LPs.
@@ -156,8 +144,7 @@ impl<P, L: Lp<P>> Engine<P, L> {
         self.budget = budget;
     }
 
-    /// Configure the no-progress watchdog used by the checked run APIs
-    /// ([`Engine::try_run_until`] / [`Engine::try_run_to_completion`]).
+    /// Configure the no-progress watchdog every run loop applies.
     pub fn set_watchdog(&mut self, cfg: WatchdogConfig) {
         self.watchdog = cfg;
     }
@@ -219,31 +206,6 @@ impl<P, L: Lp<P>> Engine<P, L> {
         true
     }
 
-    /// Run until the queue drains, `until` is passed, or the budget runs out.
-    ///
-    /// Events with `time >= until` remain queued, so runs can be resumed.
-    pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
-        self.init();
-        // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
-        let t0 = self.collector.is_enabled().then(std::time::Instant::now);
-        let outcome = loop {
-            if self.stats.events_processed >= self.budget {
-                break RunOutcome::Budget;
-            }
-            match self.queue.peek_key() {
-                None => break RunOutcome::Drained,
-                Some(k) if k.time >= until => break RunOutcome::TimeBound,
-                Some(_) => {
-                    self.step();
-                }
-            }
-        };
-        if let Some(t0) = t0 {
-            self.report_run(t0.elapsed());
-        }
-        outcome
-    }
-
     /// Report boundary telemetry for the run segment since the last report.
     fn report_run(&mut self, wall: std::time::Duration) {
         let c = &self.collector;
@@ -287,19 +249,12 @@ impl<P, L: Lp<P>> Engine<P, L> {
         }
     }
 
-    /// Run until no events remain (or the budget runs out).
-    pub fn run_to_completion(&mut self) -> RunOutcome {
-        let outcome = self.run_until(SimTime::MAX);
-        let now = self.now;
-        for lp in &mut self.lps {
-            lp.on_finish(now);
-        }
-        outcome
-    }
-
-    /// Checked variant of [`Engine::run_until`]: additionally watches for
-    /// virtual-time stalls (see [`Engine::set_watchdog`]) and converts them
-    /// into a structured [`SimError`] instead of looping forever.
+    /// Run until the queue drains, `until` is passed, or the budget runs
+    /// out, watching for virtual-time stalls (see [`Engine::set_watchdog`])
+    /// and converting them into a structured [`SimError`] instead of
+    /// looping forever.
+    ///
+    /// Events with `time >= until` remain queued, so runs can be resumed.
     pub fn try_run_until(&mut self, until: SimTime) -> Result<RunOutcome, SimError> {
         self.init();
         // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
@@ -333,18 +288,72 @@ impl<P, L: Lp<P>> Engine<P, L> {
         outcome
     }
 
-    /// Checked variant of [`Engine::run_to_completion`]: watches for
-    /// virtual-time stalls while running, and after a fully drained run
-    /// audits every LP ([`Lp::audit`]), converting violations (e.g. leaked
+    /// Run until no events remain (or the budget runs out), then finish:
+    /// every LP's [`Lp::on_finish`], and after a fully drained run an audit
+    /// of every LP ([`Lp::audit`]) that turns violations (e.g. leaked
     /// flow-control credits) into [`SimError::Invariant`].
     pub fn try_run_to_completion(&mut self) -> Result<RunOutcome, SimError> {
         let outcome = self.try_run_until(SimTime::MAX)?;
+        self.finish(outcome)
+    }
+
+    /// Run to `horizon` (exclusive) and finish as
+    /// [`Engine::try_run_to_completion`] does, pausing at every absolute
+    /// multiple of `every` below the horizon to call `on_boundary` with the
+    /// boundary time. Events at the boundary itself are still pending, so
+    /// an observer sees the state "just before" it.
+    ///
+    /// Boundaries are multiples of `every` counted from t=0, not from where
+    /// the engine starts: a run restored from a snapshot visits exactly the
+    /// boundaries a straight-through run visits after that point. Every
+    /// multiple is visited, quiet stretches included. Observers run only
+    /// at boundaries, never per event; with `every = None` the run is one
+    /// segment.
+    ///
+    /// An observer returning [`ControlFlow::Break`] stops the run at that
+    /// boundary (unfinished) and its value is returned; otherwise the run
+    /// finishes and the outcome comes back as [`ControlFlow::Continue`].
+    pub fn run_grid<B, E: From<SimError>>(
+        &mut self,
+        horizon: SimTime,
+        every: Option<NonZeroU64>,
+        mut on_boundary: impl FnMut(&Self, SimTime) -> Result<ControlFlow<B>, E>,
+    ) -> Result<ControlFlow<B, RunOutcome>, E> {
+        let mut outcome = RunOutcome::TimeBound;
+        if let Some(every) = every.map(NonZeroU64::get) {
+            // Index of the first multiple strictly after the clock: a
+            // restored run re-visits the boundary its snapshot was cut at.
+            let mut index = self.now.as_nanos() / every + 1;
+            loop {
+                let bound = SimTime(index.saturating_mul(every));
+                if bound >= horizon {
+                    break;
+                }
+                outcome = self.try_run_until(bound)?;
+                if outcome != RunOutcome::TimeBound {
+                    break; // drained or budget-exhausted: no boundary reached
+                }
+                if let ControlFlow::Break(b) = on_boundary(self, bound)? {
+                    return Ok(ControlFlow::Break(b));
+                }
+                index += 1;
+            }
+        }
+        if outcome == RunOutcome::TimeBound {
+            outcome = self.try_run_until(horizon)?;
+        }
+        Ok(ControlFlow::Continue(self.finish(outcome)?))
+    }
+
+    /// Close the run: [`Lp::on_finish`] on every LP at the current time,
+    /// then the drain audit when the queue emptied.
+    fn finish(&mut self, outcome: RunOutcome) -> Result<RunOutcome, SimError> {
         let now = self.now;
         for lp in &mut self.lps {
             lp.on_finish(now);
         }
         if outcome == RunOutcome::Drained {
-            audit_lps(self.lps.iter().map(|l| l as &dyn Lp<P>), &self.collector)?;
+            audit_lps(&self.lps, &self.collector)?;
         }
         Ok(outcome)
     }
@@ -476,9 +485,9 @@ impl<P, L: Lp<P>> Engine<P, L> {
     }
 }
 
-/// Emit the watchdog-trip diagnostics shared by both engines: a counter and
-/// one structured trace event with the failure detail.
-pub(crate) fn report_watchdog(c: &Collector, e: &SimError) {
+/// Emit the watchdog-trip diagnostics: a counter and one structured trace
+/// event with the failure detail.
+fn report_watchdog(c: &Collector, e: &SimError) {
     c.counter_add("pdes/watchdog_trips", 1);
     c.event(
         "watchdog_trip",
@@ -489,16 +498,13 @@ pub(crate) fn report_watchdog(c: &Collector, e: &SimError) {
     let _ = c.flight_dump("watchdog");
 }
 
-/// Run [`Lp::audit`] over every LP (in global id order) and fold failures
-/// into a [`SimError::Invariant`]. Reporting keeps at most the first eight
+/// Run [`Lp::audit`] over every LP (in id order) and fold failures into a
+/// [`SimError::Invariant`]. Reporting keeps at most the first eight
 /// violations; the total count is preserved.
-pub(crate) fn audit_lps<'a, P: 'a>(
-    lps: impl Iterator<Item = &'a dyn Lp<P>>,
-    c: &Collector,
-) -> Result<(), SimError> {
+fn audit_lps<P, L: Lp<P>>(lps: &[L], c: &Collector) -> Result<(), SimError> {
     let mut failures = Vec::new();
     let mut total = 0u64;
-    for (i, lp) in lps.enumerate() {
+    for (i, lp) in lps.iter().enumerate() {
         if let Err(what) = lp.audit() {
             total += 1;
             if failures.len() < 8 {
@@ -569,7 +575,7 @@ mod tests {
     #[test]
     fn token_circulates() {
         let mut eng = ring(4, 7);
-        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(eng.try_run_to_completion(), Ok(RunOutcome::Drained));
         // Token visits LP0 at t=0 then makes 7 more hops: 8 visits total.
         let total: u32 = eng.lps().map(|l| l.visits).sum();
         assert_eq!(total, 8);
@@ -580,10 +586,10 @@ mod tests {
     #[test]
     fn run_until_pauses_and_resumes() {
         let mut eng = ring(4, 7);
-        assert_eq!(eng.run_until(SimTime(35)), RunOutcome::TimeBound);
+        assert_eq!(eng.try_run_until(SimTime(35)), Ok(RunOutcome::TimeBound));
         assert!(eng.now() <= SimTime(35));
         assert!(eng.pending() > 0);
-        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(eng.try_run_to_completion(), Ok(RunOutcome::Drained));
         assert_eq!(eng.now(), SimTime(70));
     }
 
@@ -599,7 +605,7 @@ mod tests {
         let mut eng = Engine::new(vec![Forever], SimTime(1));
         eng.schedule(SimTime::ZERO, LpId(0), ());
         eng.set_event_budget(100);
-        assert_eq!(eng.run_to_completion(), RunOutcome::Budget);
+        assert_eq!(eng.try_run_to_completion(), Ok(RunOutcome::Budget));
         assert_eq!(eng.stats().events_processed, 100);
     }
 
@@ -607,7 +613,7 @@ mod tests {
     #[should_panic(expected = "into the past")]
     fn scheduling_into_past_panics() {
         let mut eng = ring(2, 3);
-        eng.run_to_completion();
+        eng.try_run_to_completion().unwrap();
         eng.schedule(SimTime(5), LpId(0), Token { hops_left: 0 });
     }
 
@@ -615,7 +621,7 @@ mod tests {
     fn deterministic_event_order_across_runs() {
         let run = || {
             let mut eng = ring(5, 100);
-            eng.run_to_completion();
+            eng.try_run_to_completion().unwrap();
             eng.lps().map(|l| l.visits).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -626,7 +632,7 @@ mod tests {
         let c = hrviz_obs::Collector::enabled();
         let mut eng = ring(4, 7);
         eng.set_collector(c.clone());
-        eng.run_to_completion();
+        eng.try_run_to_completion().unwrap();
         assert_eq!(c.counter("pdes/events_processed"), 8);
         assert_eq!(c.counter("pdes/events_scheduled"), 8);
         assert!(c.gauge("pdes/peak_queue_depth").unwrap() >= 1.0);
@@ -639,7 +645,7 @@ mod tests {
         let c = hrviz_obs::Collector::enabled();
         let mut eng = ring(4, 7);
         eng.set_collector(c.clone());
-        eng.run_to_completion();
+        eng.try_run_to_completion().unwrap();
         let recs = c.recent_spans();
         let lane = recs
             .iter()
@@ -666,7 +672,7 @@ mod tests {
         }
         let mut eng = Engine::new(vec![FanLp], SimTime(1));
         eng.schedule(SimTime::ZERO, LpId(0), 3);
-        eng.run_to_completion();
+        eng.try_run_to_completion().unwrap();
         assert!(eng.stats().peak_queue_depth >= 4, "peak {}", eng.stats().peak_queue_depth);
     }
 
@@ -711,31 +717,21 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matches_unchecked_on_healthy_model() {
-        let mut a = ring(4, 7);
-        let mut b = ring(4, 7);
-        assert_eq!(a.run_to_completion(), RunOutcome::Drained);
-        assert_eq!(b.try_run_to_completion(), Ok(RunOutcome::Drained));
-        assert_eq!(a.stats().events_processed, b.stats().events_processed);
-        assert_eq!(a.now(), b.now());
-    }
-
-    #[test]
     fn checkpoint_restart_matches_straight_through() {
         // Straight-through reference run.
         let mut straight = ring(4, 7);
-        straight.run_to_completion();
+        straight.try_run_to_completion().unwrap();
 
         // Pause mid-run, snapshot, restore into a *fresh* engine built
         // from the same model configuration, and finish there.
         let mut first = ring(4, 7);
-        assert_eq!(first.run_until(SimTime(35)), RunOutcome::TimeBound);
+        assert_eq!(first.try_run_until(SimTime(35)), Ok(RunOutcome::TimeBound));
         let snap = first.snapshot().unwrap();
         let mut resumed = ring(4, 7);
         resumed.restore(&snap).unwrap();
         assert_eq!(resumed.now(), first.now());
         assert_eq!(resumed.pending(), first.pending());
-        resumed.run_to_completion();
+        resumed.try_run_to_completion().unwrap();
 
         assert_eq!(resumed.now(), straight.now());
         assert_eq!(resumed.stats(), straight.stats());
@@ -748,13 +744,13 @@ mod tests {
     fn snapshot_bytes_are_deterministic() {
         let snap = |bound: u64| {
             let mut eng = ring(5, 20);
-            eng.run_until(SimTime(bound));
+            eng.try_run_until(SimTime(bound)).unwrap();
             eng.snapshot().unwrap()
         };
         assert_eq!(snap(55), snap(55));
         // A restored engine snapshots to the same bytes as the original.
         let mut eng = ring(5, 20);
-        eng.run_until(SimTime(55));
+        eng.try_run_until(SimTime(55)).unwrap();
         let first = eng.snapshot().unwrap();
         let mut resumed = ring(5, 20);
         resumed.restore(&first).unwrap();
@@ -764,7 +760,7 @@ mod tests {
     #[test]
     fn restore_rejects_damaged_snapshots() {
         let mut eng = ring(3, 5);
-        eng.run_until(SimTime(25));
+        eng.try_run_until(SimTime(25)).unwrap();
         let snap = eng.snapshot().unwrap();
 
         let mut truncated = ring(3, 5);
@@ -808,8 +804,84 @@ mod tests {
             }
         }
         let mut eng = Engine::new(vec![InitLp { fired: false }], SimTime(1));
-        eng.run_to_completion();
+        eng.try_run_to_completion().unwrap();
         assert!(eng.lp(LpId(0)).fired);
         assert_eq!(eng.now(), SimTime(42));
+    }
+
+    /// Run `eng` to completion on a grid of `every` ns, recording the
+    /// boundaries visited.
+    fn grid_boundaries(eng: &mut Engine<Token, RingLp>, every: u64) -> Vec<u64> {
+        let mut seen = Vec::new();
+        let flow = eng
+            .run_grid(SimTime::MAX, NonZeroU64::new(every), |e, t| {
+                assert!(e.now() < t, "observer sees the state before the boundary");
+                seen.push(t.as_nanos());
+                Ok::<_, SimError>(ControlFlow::<()>::Continue(()))
+            })
+            .unwrap();
+        assert_eq!(flow, ControlFlow::Continue(RunOutcome::Drained));
+        seen
+    }
+
+    #[test]
+    fn run_grid_visits_absolute_multiples_without_perturbing_the_run() {
+        let mut gridded = ring(4, 7);
+        assert_eq!(grid_boundaries(&mut gridded, 25), vec![25, 50]);
+        let mut plain = ring(4, 7);
+        plain.try_run_to_completion().unwrap();
+        assert_eq!(gridded.stats(), plain.stats());
+        let a: Vec<u32> = gridded.lps().map(|l| l.visits).collect();
+        let b: Vec<u32> = plain.lps().map(|l| l.visits).collect();
+        assert_eq!(a, b);
+        // Quiet stretches still get every boundary (the token hops every
+        // 10 ns, so most 3 ns windows hold no event).
+        assert_eq!(
+            grid_boundaries(&mut ring(4, 7), 3),
+            (1..=23).map(|i| i * 3).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn restored_run_revisits_the_same_grid() {
+        let mut first = ring(4, 7);
+        first.try_run_until(SimTime(35)).unwrap();
+        let mut resumed = ring(4, 7);
+        resumed.restore(&first.snapshot().unwrap()).unwrap();
+        assert_eq!(grid_boundaries(&mut resumed, 25), vec![50]);
+        // A snapshot cut at a boundary re-visits that boundary on restore.
+        let mut cut = ring(4, 7);
+        cut.try_run_until(SimTime(25)).unwrap();
+        let mut resumed = ring(4, 7);
+        resumed.restore(&cut.snapshot().unwrap()).unwrap();
+        assert_eq!(grid_boundaries(&mut resumed, 25), vec![25, 50]);
+    }
+
+    #[test]
+    fn run_grid_break_stops_and_horizon_caps() {
+        let mut eng = ring(4, 7);
+        let flow = eng
+            .run_grid(SimTime::MAX, NonZeroU64::new(20), |_, t| {
+                Ok::<_, SimError>(if t == SimTime(40) {
+                    ControlFlow::Break(t)
+                } else {
+                    ControlFlow::Continue(())
+                })
+            })
+            .unwrap();
+        assert_eq!(flow, ControlFlow::Break(SimTime(40)));
+        assert!(eng.pending() > 0, "a broken run is left unfinished");
+
+        let mut eng = ring(4, 7);
+        let mut seen = Vec::new();
+        let flow = eng
+            .run_grid(SimTime(45), NonZeroU64::new(20), |_, t| {
+                seen.push(t);
+                Ok::<_, SimError>(ControlFlow::<()>::Continue(()))
+            })
+            .unwrap();
+        assert_eq!(flow, ControlFlow::Continue(RunOutcome::TimeBound));
+        assert_eq!(seen, vec![SimTime(20), SimTime(40)]);
+        assert_eq!(eng.now(), SimTime(40));
     }
 }

@@ -1,11 +1,8 @@
 //! Structured simulation failures.
 //!
-//! The default [`Engine::run_until`](crate::Engine::run_until) family keeps
-//! its panic-on-model-bug semantics for tests and tools that want fail-fast
-//! behaviour; the checked `try_*` variants instead surface scheduler
-//! pathologies — virtual-time stalls and post-run invariant violations such
-//! as credit leaks — as values of this type so callers can report them and
-//! exit cleanly.
+//! Every engine run loop surfaces scheduler pathologies — virtual-time
+//! stalls and post-run invariant violations such as credit leaks — as
+//! values of this type so callers can report them and exit cleanly.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -68,13 +65,11 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Watchdog configuration shared by the sequential and parallel engines.
+/// Watchdog configuration of the engine's run loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Maximum events the engine may process without virtual time advancing
-    /// before declaring a stall. The parallel engine applies the same limit
-    /// per partition window (virtual time strictly advances *between*
-    /// windows, so a stall can only hide inside one).
+    /// before declaring a stall.
     pub max_stalled_events: u64,
 }
 

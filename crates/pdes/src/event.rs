@@ -3,9 +3,8 @@
 //! Every event carries an [`EventKey`] that orders it totally: first by
 //! timestamp, then by destination LP, then by a `(source LP, per-source
 //! sequence number)` pair. Sequence numbers are assigned deterministically
-//! by each sender, so the induced order is independent of scheduler
-//! interleaving — the foundation of the sequential/parallel equivalence
-//! guarantee.
+//! by each sender, so the induced order depends only on the model — the
+//! foundation of the engine's bit-identical replays.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -62,18 +61,6 @@ pub struct Event<P> {
     pub payload: P,
 }
 
-impl<P> Event<P> {
-    /// Convenience accessor for the firing time.
-    pub fn time(&self) -> SimTime {
-        self.key.time
-    }
-
-    /// Convenience accessor for the destination LP.
-    pub fn dst(&self) -> LpId {
-        self.key.dst
-    }
-}
-
 impl<P> PartialEq for Event<P> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
@@ -127,7 +114,5 @@ mod tests {
         let a = Event { key: key(1, 0, 0, 0), payload: "a" };
         let b = Event { key: key(2, 0, 0, 0), payload: "b" };
         assert!(a < b);
-        assert_eq!(a.time(), SimTime(1));
-        assert_eq!(b.dst(), LpId(0));
     }
 }

@@ -1,16 +1,17 @@
 //! # hrviz-pdes — ROSS-style discrete-event simulation engine
 //!
 //! The paper couples its visual analytics system with CODES, which runs on
-//! ROSS, a parallel discrete-event simulator (PDES). This crate is the
-//! reproduction's substrate: a deterministic event-driven engine with
+//! ROSS, a parallel discrete-event simulator (PDES). The paper uses ROSS
+//! only to produce metrics, and its workload is a design-space grid of
+//! independent runs, so this crate is one deterministic sequential engine;
+//! a sweep fills every core by running grid points side by side. It has
 //!
 //! * integer-nanosecond [`SimTime`] and a total event order ([`EventKey`]),
 //! * logical processes ([`Lp`]) that interact *only* through events,
-//! * a sequential reference engine ([`Engine`]),
-//! * a conservative, lookahead-windowed parallel engine
-//!   ([`ParallelEngine`]) that produces bit-identical results, and
-//! * two interchangeable pending-event sets ([`HeapQueue`],
-//!   [`CalendarQueue`]).
+//! * one engine ([`Engine`]) over one pending-event set ([`HeapQueue`]),
+//!   with a no-progress watchdog and a post-run audit on every run, and
+//! * one run loop over an absolute virtual-time grid
+//!   ([`Engine::run_grid`]) that checkpoints and live slices observe.
 //!
 //! ## Example
 //!
@@ -32,27 +33,25 @@
 //! let mut eng = Engine::new(vec![PingPong { hits: 0 }, PingPong { hits: 0 }],
 //!                           SimTime::nanos(100));
 //! eng.schedule(SimTime::ZERO, LpId(0), "ball");
-//! eng.run_to_completion();
+//! eng.try_run_to_completion().expect("healthy model");
 //! assert_eq!(eng.lp(LpId(0)).hits + eng.lp(LpId(1)).hits, 5);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod engine;
 pub mod error;
 pub mod event;
 pub mod lp;
-pub mod parallel;
+pub mod queue;
 pub mod time;
 pub mod wire;
 
-pub use calendar::{CalendarQueue, EventQueue, HeapQueue};
 pub use engine::{Engine, EngineStats, RunOutcome};
 pub use error::{SimError, WatchdogConfig};
 pub use event::{Event, EventKey, LpId, EXTERNAL_SRC};
 pub use lp::{Ctx, Lp};
-pub use parallel::ParallelEngine;
+pub use queue::HeapQueue;
 pub use time::SimTime;
 pub use wire::{SnapshotError, WirePayload, WireReader, WireWriter};

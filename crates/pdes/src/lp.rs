@@ -2,9 +2,8 @@
 //!
 //! Mirroring ROSS, all simulation state lives inside logical processes
 //! (LPs); the only way state crosses LP boundaries is by scheduling events.
-//! That restriction is what lets the conservative parallel scheduler in
-//! [`crate::parallel`] run disjoint LP sets on different threads while
-//! producing output bit-identical to the sequential engine.
+//! That restriction is what makes an engine snapshot the sum of per-LP
+//! state plus the pending-event set.
 
 use crate::event::{Event, EventKey, LpId};
 use crate::time::SimTime;
@@ -31,7 +30,7 @@ pub trait Lp<P>: Send {
         let _ = now;
     }
 
-    /// Post-run invariant check used by the checked engine APIs
+    /// Post-run invariant check the engine runs when a run finishes
     /// ([`Engine::try_run_to_completion`](crate::Engine::try_run_to_completion)).
     /// Called only after the event set fully drained; return a short
     /// description of any violated invariant (e.g. flow-control credits that

@@ -2,9 +2,8 @@
 //!
 //! All simulation timestamps are integer nanoseconds wrapped in [`SimTime`].
 //! Using integers (rather than `f64`, as some simulators do) makes event
-//! ordering total and exact, which in turn makes sequential and parallel
-//! executions bit-identical — a property the conservative scheduler in
-//! [`crate::parallel`] relies on.
+//! ordering total and exact, which in turn makes every replay of a run —
+//! straight through, checkpoint-restored or streamed — bit-identical.
 
 use std::fmt;
 use std::iter::Sum;

@@ -150,7 +150,7 @@ mod tests {
         // Loaded traces drive a simulation directly.
         let mut sim = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2)));
         sim.inject_all(loaded);
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         assert_eq!(run.total_delivered(), 4096 + 123);
         std::fs::remove_file(&path).ok();
     }

@@ -7,8 +7,8 @@
 //!
 //! The facade re-exports the workspace crates:
 //!
-//! * [`pdes`] — ROSS-style discrete-event engine (sequential + conservative
-//!   parallel).
+//! * [`pdes`] — ROSS-style discrete-event engine: one sequential engine
+//!   with checkpoints and an absolute virtual-time run grid.
 //! * [`network`] — CODES-style Dragonfly model: topology, VC flow control,
 //!   minimal/Valiant/UGAL/PAR routing, full metric instrumentation.
 //! * [`workloads`] — synthetic patterns, AMG / AMR Boxlib / MiniFE trace

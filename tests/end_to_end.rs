@@ -3,7 +3,8 @@
 
 use hrviz::core::{build_view, parse_script, DataSet};
 use hrviz::network::{
-    DragonflyConfig, JobMeta, NetworkSpec, RoutingAlgorithm, RunData, Simulation, TerminalId,
+    CheckpointOptions, DragonflyConfig, JobMeta, NetworkSpec, RoutingAlgorithm, RunData,
+    Simulation, TerminalId,
 };
 use hrviz::pdes::SimTime;
 use hrviz::render::{render_radial, RadialLayout};
@@ -33,7 +34,7 @@ fn simulate(seed: u64) -> RunData {
         &jobs[0],
         &SyntheticConfig::uniform(8 * 1024, 12, SimTime::micros(2)),
     ));
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 #[test]
@@ -83,7 +84,7 @@ fn different_seeds_differ() {
 }
 
 #[test]
-fn parallel_engine_reproduces_sequential_run() {
+fn checkpoint_restart_reproduces_straight_run() {
     let cfg = DragonflyConfig::canonical(3);
     let build = || {
         let mut sim = Simulation::new(
@@ -99,14 +100,25 @@ fn parallel_engine_reproduces_sequential_run() {
         ));
         sim
     };
-    let seq = build().run();
-    let par = build().run_parallel(6);
-    assert_eq!(seq.events_processed, par.events_processed);
-    assert_eq!(seq.end_time, par.end_time);
-    for (a, b) in seq.local_links.iter().zip(&par.local_links) {
+    let straight = build().try_run().expect("simulation completes");
+    let mut snaps = Vec::new();
+    let opts = CheckpointOptions { restore_from: None, every: Some(SimTime::micros(2)) };
+    build()
+        .try_run_checkpointed(opts, &mut |_, bytes| {
+            snaps.push(bytes.to_vec());
+            Ok(())
+        })
+        .expect("checkpointed run");
+    assert!(snaps.len() >= 2, "want several checkpoints, got {}", snaps.len());
+    // "Crash" after the first checkpoint and finish in a rebuilt simulation.
+    let opts = CheckpointOptions { restore_from: Some(&snaps[0]), every: None };
+    let restored = build().try_run_checkpointed(opts, &mut |_, _| Ok(())).expect("restored run");
+    assert_eq!(straight.events_processed, restored.events_processed);
+    assert_eq!(straight.end_time, restored.end_time);
+    for (a, b) in straight.local_links.iter().zip(&restored.local_links) {
         assert_eq!((a.traffic, a.sat_ns), (b.traffic, b.sat_ns));
     }
-    for (a, b) in seq.terminals.iter().zip(&par.terminals) {
+    for (a, b) in straight.terminals.iter().zip(&restored.terminals) {
         assert_eq!(a.avg_latency_ns, b.avg_latency_ns);
     }
 }

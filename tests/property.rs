@@ -6,7 +6,8 @@ use hrviz::core::{
     RibbonSpec,
 };
 use hrviz::network::{
-    DragonflyConfig, MsgInjection, NetworkSpec, RoutingAlgorithm, Simulation, TerminalId,
+    CheckpointOptions, DragonflyConfig, MsgInjection, NetworkSpec, RoutingAlgorithm, Simulation,
+    Slice, SliceControl, TerminalId,
 };
 use hrviz::pdes::SimTime;
 use proptest::prelude::*;
@@ -51,7 +52,7 @@ proptest! {
                 job: 0,
             });
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         prop_assert_eq!(run.total_delivered(), expect);
         for t in &run.terminals {
             // Hops on any legal path: 1..=6 routers.
@@ -67,14 +68,15 @@ proptest! {
         }
     }
 
-    /// Parallel and sequential engines agree for arbitrary workloads.
+    /// Observing a run on the absolute grid — live slices or checkpoints,
+    /// for any window — never perturbs it: both equal the batch run.
     #[test]
-    fn parallel_equals_sequential(
+    fn gridded_runs_equal_batch(
         msgs in prop::collection::vec(
             (0u64..20_000, 0u32..72, 0u32..72, 1u64..20_000),
             1..40,
         ),
-        parts in 2usize..7,
+        window_ns in 500u64..8_000,
     ) {
         let build = |m: &[(u64, u32, u32, u64)]| {
             let spec = NetworkSpec::new(DragonflyConfig::canonical(2))
@@ -92,14 +94,18 @@ proptest! {
             }
             sim
         };
-        let seq = build(&msgs).run();
-        let par = build(&msgs).run_parallel(parts);
-        prop_assert_eq!(seq.events_processed, par.events_processed);
-        prop_assert_eq!(seq.end_time, par.end_time);
-        for (a, b) in seq.terminals.iter().zip(&par.terminals) {
-            prop_assert_eq!(a.packets_finished, b.packets_finished);
-            prop_assert_eq!(a.avg_latency_ns, b.avg_latency_ns);
-        }
+        let window = SimTime(window_ns);
+        let batch = format!("{:?}", build(&msgs).try_run().expect("batch run"));
+        let streamed = build(&msgs)
+            .try_run_streamed(window, &mut |_: &Slice| Ok(SliceControl::Continue))
+            .expect("streamed run")
+            .completed()
+            .expect("no abort");
+        prop_assert!(format!("{streamed:?}") == batch, "streamed run diverged from batch");
+        let opts = CheckpointOptions { restore_from: None, every: Some(window) };
+        let checkpointed =
+            build(&msgs).try_run_checkpointed(opts, &mut |_, _| Ok(())).expect("checkpointed run");
+        prop_assert!(format!("{checkpointed:?}") == batch, "checkpointed run diverged from batch");
     }
 }
 
@@ -168,7 +174,7 @@ proptest! {
                 job: 0,
             });
         }
-        let ds = DataSet::builder(&sim.run()).build();
+        let ds = DataSet::builder(&sim.try_run().expect("simulation completes")).build();
         let view = build_view(&ds, &spec).expect("valid spec builds");
         for (ring, lv) in view.rings.iter().zip(&spec.levels) {
             let mut covered = 0usize;
